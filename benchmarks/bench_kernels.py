@@ -10,7 +10,7 @@ to regress against.
 Since PR 7 the end-to-end HMult / key-switch section also measures the
 *legacy* evaluator path (``REPRO_KERNEL_PLANS=off`` — the PR 6
 algorithms, no NTT plans, no batched key-switch) live in the same run,
-once per kernel backend requested with ``--backend``.  Gating on the
+in the same process.  Gating on the
 same-run legacy/planned ratio makes the speedup bar robust to machine
 load; the absolute PR 6 numbers recorded on the reference box are kept
 alongside as ``baseline_ms_pr6`` for the cross-PR trajectory.
@@ -19,12 +19,10 @@ Run directly (not under pytest):
 
     PYTHONPATH=src python benchmarks/bench_kernels.py           # full
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick   # CI smoke
-    PYTHONPATH=src python benchmarks/bench_kernels.py --quick --backend parallel
 
 Acceptance bars: >= 5x over the object path for the N = 2^14 NTT at
 SHARP's 36-bit word (PR 2), and >= 3x same-run planned-vs-legacy HMult
-at N = 2^12 / 6 limbs on the numpy backend (PR 7; >= 1x per backend in
-``--quick`` CI smoke).
+at N = 2^12 / 6 limbs (>= 1x in the ``--quick`` CI smoke).
 """
 
 from __future__ import annotations
@@ -209,10 +207,10 @@ def bench_bconv(n: int, src_limbs: int, dst_limbs: int, reps: int) -> dict:
     }
 
 
-def bench_ckks_ops(degree: int, reps: int, backend: str = "numpy") -> list[dict]:
+def bench_ckks_ops(degree: int, reps: int) -> list[dict]:
     """HMult and key-switch (rotation) on the native 36-bit preset.
 
-    Times the planned path on ``backend`` against the legacy evaluator
+    Times the planned path against the legacy evaluator
     (``REPRO_KERNEL_PLANS=off``) built in the same process, and asserts
     the two produce bit-identical ciphertext limbs before timing — a
     speedup over wrong answers would be worthless.
@@ -237,7 +235,7 @@ def bench_ckks_ops(degree: int, reps: int, backend: str = "numpy") -> list[dict]
             os.environ["REPRO_KERNEL_PLANS"] = saved
     assert not ctx_legacy.ring.use_plans
 
-    ctx = CkksContext(params, seed=7, kernel_backend=backend)
+    ctx = CkksContext(params, seed=7)
     ev = Evaluator(ctx)
     ev_legacy = Evaluator(ctx_legacy)
     rng = np.random.default_rng(5)
@@ -265,7 +263,6 @@ def bench_ckks_ops(degree: int, reps: int, backend: str = "numpy") -> list[dict]
         "n": degree,
         "prime_bits": WORD_BITS,
         "limbs": limbs,
-        "backend": ctx.ring.backend.name,
     }
     rows = []
     for op, t_planned, t_legacy in (
@@ -283,8 +280,6 @@ def bench_ckks_ops(degree: int, reps: int, backend: str = "numpy") -> list[dict]
             row["baseline_ms_pr6"] = pr6[op]
             row["speedup_vs_pr6"] = pr6[op] / (t_planned * 1e3)
         rows.append(row)
-
-    ctx.ring.backend.close()  # releases the pool for the parallel backend
     return rows
 
 
@@ -298,13 +293,7 @@ def main(argv=None) -> int:
         "--out", type=Path, default=Path(__file__).resolve().parent.parent / "BENCH_kernels.json",
         help="output JSON path (default: repo-root BENCH_kernels.json)",
     )
-    parser.add_argument(
-        "--backend", default="numpy",
-        help="comma-separated kernel backends for the end-to-end HMult/"
-        "key-switch section (default: numpy)",
-    )
     args = parser.parse_args(argv)
-    backends = [b.strip() for b in args.backend.split(",") if b.strip()]
 
     # Timing a kernel whose lazy-reduction invariants don't hold would
     # be timing wrong answers; prove the uint64 bounds first.
@@ -330,22 +319,20 @@ def main(argv=None) -> int:
         bench_ntt(n, reps),
         bench_ntt_chain(n, limbs, reps),
         bench_bconv(n, src_l, dst_l, reps),
+        *bench_ckks_ops(degree, reps),
     ]
-    for backend in backends:
-        results.extend(bench_ckks_ops(degree, reps, backend=backend))
 
     report = {
         "bench": "kernels",
         "word_bits": WORD_BITS,
         "fast_modulus_bits": kernels.FAST_MODULUS_BITS,
         "quick": args.quick,
-        "backends": backends,
         "results": results,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     print(
-        f"{'op':<18} {'n':>6} {'backend':>9} {'kernel_ms':>10} "
+        f"{'op':<18} {'n':>6} {'kernel_ms':>10} "
         f"{'baseline_ms':>12} {'speedup':>8} {'vs_pr6':>8}"
     )
     for r in results:
@@ -358,7 +345,7 @@ def main(argv=None) -> int:
             else f"{r['speedup_vs_pr6']:.1f}x"
         )
         print(
-            f"{r['op']:<18} {r['n']:>6} {r.get('backend', '-'):>9} "
+            f"{r['op']:<18} {r['n']:>6} "
             f"{r['kernel_ms']:>10.3f} {base_s:>12} {speed_s:>8} {pr6_s:>8}"
         )
     print(f"\nwrote {args.out}")
@@ -383,23 +370,19 @@ def main(argv=None) -> int:
     # ratio and the recorded-PR 6 ratio: on a loaded box both paths
     # slow together and the same-run ratio holds; on different hardware
     # the recorded baseline would mislead, but the same-run ratio is
-    # live.  Quick mode only requires every backend to not lose to the
+    # live.  Quick mode only requires the plan path to not lose to the
     # legacy path (CI boxes are small, loaded, and often single-core).
-    failed = False
-    for r in (r for r in results if r["op"] == "hmult"):
-        measured = max(r["speedup"], r.get("speedup_vs_pr6", 0.0))
-        bar = QUICK_HMULT_SPEEDUP_BAR
-        if not args.quick and r["backend"] == "numpy":
-            bar = FULL_HMULT_SPEEDUP_BAR
-        if measured < bar:
-            print(
-                f"FAIL: hmult[{r['backend']}] at {r['speedup']:.2f}x the "
-                f"same-run legacy path / "
-                f"{r.get('speedup_vs_pr6', 0.0):.2f}x the recorded PR 6 "
-                f"baseline (bar {bar:.1f}x, n={r['n']}, limbs={r['limbs']})"
-            )
-            failed = True
-    return 1 if failed else 0
+    hm = next(r for r in results if r["op"] == "hmult")
+    measured = max(hm["speedup"], hm.get("speedup_vs_pr6", 0.0))
+    bar = QUICK_HMULT_SPEEDUP_BAR if args.quick else FULL_HMULT_SPEEDUP_BAR
+    if measured < bar:
+        print(
+            f"FAIL: hmult at {hm['speedup']:.2f}x the same-run legacy path / "
+            f"{hm.get('speedup_vs_pr6', 0.0):.2f}x the recorded "
+            f"baseline (bar {bar:.1f}x, n={hm['n']}, limbs={hm['limbs']})"
+        )
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -48,8 +48,7 @@ class NttPlan:
     are shared with the cached :class:`NttContext` objects, so a plan
     costs one ``np.stack`` per table plus scratch buffers.
 
-    Plans are single-threaded objects (scratch is reused across calls);
-    the parallel backend builds one plan per worker process.
+    Plans are single-threaded objects (scratch is reused across calls).
     """
 
     def __init__(self, contexts: list[NttContext]):

@@ -22,6 +22,8 @@ the paper's conclusion in.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from repro.rns.modmath import is_probable_prime
 
 __all__ = [
@@ -135,22 +137,22 @@ def find_ss_primes(
     )
 
 
-def _small_side_pool(
+def _small_side_primes(
     two_n: int, scale_bits: float, word_bits: int, exclude: set[int]
-) -> list[int]:
-    """All NTT primes at or below sqrt(scale), descending (largest first).
+) -> Iterator[int]:
+    """NTT primes at or below sqrt(scale), descending (largest first).
 
-    Every DS pair must have one factor <= sqrt(Delta), so the size of
-    this pool bounds the number of distinct DS levels a scale supports.
+    Every DS pair must have one factor <= sqrt(Delta), so these bound
+    the number of distinct DS levels a scale supports.  Lazy: a pair
+    search consumes only the first few, and testing every candidate
+    below sqrt(Delta) costs millions of primality tests at 62 bits.
     """
     sqrt_target = 2.0 ** (scale_bits / 2.0)
     limit = min(int(sqrt_target), (1 << word_bits) - 1)
-    pool = []
     for k in range(limit // two_n, 0, -1):
         cand = k * two_n + 1
         if cand <= limit and cand not in exclude and is_probable_prime(cand):
-            pool.append(cand)
-    return pool
+            yield cand
 
 
 def find_ds_pairs(
@@ -162,7 +164,7 @@ def find_ds_pairs(
 ) -> list[tuple[int, int]]:
     """Double-prime-scaling pairs ``(a, b)`` with ``a * b ~ 2**scale_bits``.
 
-    Pairs are built by walking the small-side pool downward from
+    Pairs are built by walking the small-side primes downward from
     sqrt(Delta) and matching each small prime with the nearest distinct
     partner so the product lands within ``MAX_DS_PRODUCT_DEVIATION`` of
     the scale.  Both factors must fit the word.  Raises
@@ -175,10 +177,9 @@ def find_ds_pairs(
     exclude = set(exclude or set())
     target = 2.0 ** scale_bits
     max_word_value = (1 << word_bits) - 1
-    pool = _small_side_pool(two_n, scale_bits, word_bits, exclude)
     pairs: list[tuple[int, int]] = []
     used = set(exclude)
-    for small in pool:
+    for small in _small_side_primes(two_n, scale_bits, word_bits, exclude):
         if len(pairs) == num_pairs:
             break
         if small in used:

@@ -1,43 +1,23 @@
-"""Kernel backend registry: one interface, swappable execution engines.
+"""The kernel backend: the hot operations of the RNS-CKKS evaluator.
 
-A :class:`KernelBackend` owns the five hot operations of the RNS-CKKS
-evaluator — elementwise modular mul/add over an ``(L, N)`` limb matrix,
-the batched forward/inverse NTT over a precomputed
-:class:`~repro.ntt.plan.NttPlan`, base conversion through a
+:class:`NumpyBackend` owns elementwise modular mul/add over an
+``(L, N)`` limb matrix, the batched forward/inverse NTT over a
+precomputed :class:`~repro.ntt.plan.NttPlan`, base conversion through a
 :class:`~repro.rns.bconv.BaseConverter`, and the key-switch inner
-product over the digit decomposition.  ``RingContext`` resolves a
-backend once at construction (explicit argument, then the
-``REPRO_KERNEL_BACKEND`` environment variable, then ``"numpy"``) and
-every polynomial op dispatches through it; ``repro.serve`` picks a
-backend per preset at enrollment.
+product over the digit decomposition.  Every ``RingContext`` builds one
+and every polynomial op dispatches through it, so these six methods are
+the single choke point for kernel work.
 
-Registered backends:
-
-``numpy``
-    The vectorized single-process baseline.  Uses the float-quotient
-    lane (``kernels.FLOAT_QHAT_LIMIT``) for variable products and the
-    fused key-switch inner product when the chain's bounds certificate
-    allows it; bit-exact with the legacy per-limb paths by construction
-    (canonical residues are unique).
-``parallel``
-    Shards the ``(L, N)`` limb matrix across a ``multiprocessing``
-    shared-memory pool for the NTT and BConv; elementwise ops delegate
-    to numpy (they are memory-bound).  See :mod:`repro.rns.parallel`.
-``numba``
-    Optional JIT backend; degrades to ``numpy`` with a warning when
-    the import fails.  See :mod:`repro.rns.numba_backend`.
-
-Every backend must be *bit-exact* with ``numpy`` — the parity suite in
-``tests/test_backends.py`` enforces this across the 28/36/50/62-bit
-presets, which is what makes backend choice a pure deployment knob
-rather than a numerical decision.
+It uses the float-quotient lane (``kernels.FLOAT_QHAT_LIMIT``) for
+variable products and the fused key-switch inner product when the
+chain's bounds certificate allows it; it is bit-exact with the legacy
+per-limb paths by construction (canonical residues are unique), which
+``tests/test_backends.py`` checks across the 28/36/50/62-bit presets.
 """
 
 from __future__ import annotations
 
-import importlib
-import os
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,64 +25,14 @@ from repro.rns import kernels
 
 if TYPE_CHECKING:
     from repro.ntt.plan import NttPlan
+    from repro.rns.bconv import BaseConverter
     from repro.rns.kernels import ModulusKernel
 
-__all__ = [
-    "KernelBackend",
-    "NumpyBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
-    "resolve_backend",
-    "BACKEND_ENV_VAR",
-]
-
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-
-
-class _SupportsConvertRows(Protocol):
-    """Structural stand-in for BaseConverter (avoids a circular import)."""
-
-    def convert_rows(self, limbs: np.ndarray) -> np.ndarray: ...
-
-
-class KernelBackend(Protocol):
-    """The pluggable execution engine behind a ``RingContext``."""
-
-    name: str
-
-    def mul(
-        self, kern: ModulusKernel, a: np.ndarray, b: np.ndarray
-    ) -> np.ndarray: ...
-
-    def add(
-        self, kern: ModulusKernel, a: np.ndarray, b: np.ndarray
-    ) -> np.ndarray: ...
-
-    def ntt_forward_all(self, plan: NttPlan, limbs: np.ndarray) -> np.ndarray: ...
-
-    def ntt_inverse_all(self, plan: NttPlan, limbs: np.ndarray) -> np.ndarray: ...
-
-    def bconv(
-        self, conv: _SupportsConvertRows, limbs: np.ndarray
-    ) -> np.ndarray: ...
-
-    def keyswitch_inner(
-        self,
-        kern: ModulusKernel,
-        ext: np.ndarray,
-        b_stack: np.ndarray,
-        a_stack: np.ndarray,
-        b_shoup_f: np.ndarray | None = None,
-        a_shoup_f: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def close(self) -> None: ...
+__all__ = ["NumpyBackend"]
 
 
 class NumpyBackend:
-    """Single-process vectorized baseline (float-quotient lane where safe)."""
+    """Single-process vectorized kernels (float-quotient lane where safe)."""
 
     name = "numpy"
 
@@ -128,7 +58,7 @@ class NumpyBackend:
     def ntt_inverse_all(self, plan: NttPlan, limbs: np.ndarray) -> np.ndarray:
         return plan.inverse_all(limbs)
 
-    def bconv(self, conv: _SupportsConvertRows, limbs: np.ndarray) -> np.ndarray:
+    def bconv(self, conv: BaseConverter, limbs: np.ndarray) -> np.ndarray:
         return conv.convert_rows(limbs)
 
     @kernels._wrapping
@@ -202,62 +132,3 @@ class NumpyBackend:
             acc0 = kern.add(acc0, kern.mul(ext[d], b_stack[d]))
             acc1 = kern.add(acc1, kern.mul(ext[d], a_stack[d]))
         return acc0, acc1
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-_REGISTRY: dict[str, Callable[[], KernelBackend]] = {}
-
-# Optional backends resolve lazily by module path: importing them here
-# would create an import cycle (they subclass NumpyBackend from this
-# module) and would pay pool/JIT import costs nobody asked for.
-_LAZY: dict[str, tuple[str, str]] = {
-    "parallel": ("repro.rns.parallel", "ParallelBackend"),
-    "numba": ("repro.rns.numba_backend", "NumbaBackend"),
-}
-
-
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register a backend class under ``name`` (idempotent overwrite)."""
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`get_backend`, registered first."""
-    return tuple(dict.fromkeys((*_REGISTRY, *_LAZY)))
-
-
-def get_backend(name: str) -> KernelBackend:
-    """Instantiate the backend registered (or lazily loadable) as ``name``."""
-    factory = _REGISTRY.get(name)
-    if factory is None and name in _LAZY:
-        module_name, attr = _LAZY[name]
-        factory = getattr(importlib.import_module(module_name), attr)
-        _REGISTRY[name] = factory
-    if factory is None:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; available: "
-            f"{', '.join(available_backends())}"
-        )
-    backend: KernelBackend = factory()
-    return backend
-
-
-def resolve_backend(spec: object = None) -> KernelBackend:
-    """Resolve a backend from an explicit spec, the environment, or default.
-
-    ``spec`` may be a backend instance (returned as-is), a registered
-    name, or ``None`` — in which case ``$REPRO_KERNEL_BACKEND`` is
-    consulted and ``"numpy"`` is the fallback.
-    """
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV_VAR) or "numpy"
-    if isinstance(spec, str):
-        return get_backend(spec)
-    if hasattr(spec, "keyswitch_inner"):
-        return spec  # type: ignore[return-value]
-    raise TypeError(f"backend spec must be a name or KernelBackend, got {spec!r}")
-
-
-register_backend("numpy", NumpyBackend)

@@ -27,12 +27,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.rns import kernels
+from repro.rns.backend import NumpyBackend
 from repro.rns.modmath import mod_inverse
 
 if TYPE_CHECKING:  # deferred at runtime: repro.ntt.reference imports kernels
     from repro.ntt.plan import NttPlan
     from repro.ntt.reference import NttChain, NttContext
-    from repro.rns.backend import KernelBackend
 
 __all__ = ["RingContext", "RnsPolynomial"]
 
@@ -45,19 +45,16 @@ class RingContext:
     tables are created lazily and cached.
     """
 
-    def __init__(self, degree: int, backend=None):
+    def __init__(self, degree: int):
         if degree & (degree - 1) or degree < 4:
             raise ValueError("degree must be a power of two >= 4")
         self.degree = degree
-        # Execution engine for the hot paths (see repro.rns.backend);
-        # resolved once here, from the argument, $REPRO_KERNEL_BACKEND,
-        # or the numpy default.  REPRO_KERNEL_PLANS=off disables every
-        # planned/fused fast path (plan NTT, float-lane products, fused
-        # BConv/key-switch) and restores the legacy per-limb code — the
-        # live reference the benchmark speedup gates compare against.
-        from repro.rns.backend import resolve_backend
-
-        self.backend: KernelBackend = resolve_backend(backend)
+        # The kernels behind every hot path (see repro.rns.backend).
+        # REPRO_KERNEL_PLANS=off disables every planned/fused fast path
+        # (plan NTT, float-lane products, fused BConv/key-switch) and
+        # restores the legacy per-limb code — the live reference the
+        # benchmark speedup gates compare against.
+        self.backend = NumpyBackend()
         self.use_plans = os.environ.get("REPRO_KERNEL_PLANS", "on") != "off"
         self._ntt: dict[int, NttContext] = {}
         self._chains: dict[tuple[int, ...], NttChain] = {}

@@ -574,7 +574,7 @@ class FheServer:
         payload["sessions"] = len(self.sessions)
         payload["presets_built"] = sorted(self.offline._presets)
         payload["kernel_backends"] = {
-            bits: preset.kernel_backend
+            bits: preset.context.ring.backend.name
             for bits, preset in sorted(self.offline._presets.items())
         }
         return payload

@@ -1,18 +1,17 @@
-"""Backend parity suite: every kernel backend is bit-exact with numpy.
+"""Kernel backend parity suite: the fast paths are bit-exact.
 
-The backend registry (PR 7) makes execution engines swappable per
-:class:`~repro.rns.poly.RingContext`; that is only a deployment knob if
-every backend returns bit-identical canonical residues for the five hot
-operations.  This suite enforces exactly that, across the word lengths
-the service catalogue spans (28/36/50/62 bits — float-quotient lane on
-and off), plus the plan-vs-reference NTT equality the planned evaluator
-path relies on.
+Every :class:`~repro.rns.poly.RingContext` runs its hot operations
+through :class:`~repro.rns.backend.NumpyBackend`.  This suite checks
+each of them against an independent reference — exact integer
+arithmetic, :class:`NttChain`, the legacy per-limb BConv and the naive
+digit sum — across the word lengths the service catalogue spans
+(28/36/50/62 bits, float-quotient lane on and off), plus the
+planned-vs-legacy evaluator equality the benchmark bars rely on.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -22,15 +21,9 @@ from hypothesis import strategies as st
 from repro.ntt.plan import NttPlan
 from repro.ntt.reference import NttChain, NttContext
 from repro.params.primes import find_ntt_primes
-from repro.rns import kernels, numba_backend
-from repro.rns.backend import (
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
+from repro.rns import kernels
+from repro.rns.backend import NumpyBackend
 from repro.rns.bconv import BaseConverter
-from repro.rns.parallel import ParallelBackend
 
 WORD_PATTERNS = (28, 36, 50, 62)
 
@@ -60,13 +53,6 @@ def _chain(two_n: int, bits: int, count: int) -> tuple[int, ...]:
     return _CHAINS[key][:count]
 
 
-def _backends() -> list:
-    """One instance of every registered backend (numba may warn once)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return [get_backend(name) for name in available_backends()]
-
-
 def _limbs(moduli, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.stack(
@@ -86,23 +72,19 @@ class TestElementwiseParity:
         kern = kernels.ModulusKernel(moduli)
         a = _limbs(moduli, N, seed)
         b = _limbs(moduli, N, seed + 1)
-        reference = NumpyBackend()
-        want_mul = reference.mul(kern, a, b)
-        want_add = reference.add(kern, a, b)
-        # Ground truth once per draw: exact integer arithmetic.
+        backend = NumpyBackend()
+        # Ground truth: exact integer arithmetic, and the canonical
+        # kernels the float-quotient lane must agree with.
         q_col = np.array(moduli, dtype=object).reshape(-1, 1)
-        assert np.array_equal(
-            want_mul, (a.astype(object) * b.astype(object) % q_col).astype(np.uint64)
-        )
-        assert np.array_equal(
-            want_add, ((a.astype(object) + b.astype(object)) % q_col).astype(np.uint64)
-        )
-        for backend in _backends():
-            assert np.array_equal(backend.mul(kern, a, b), want_mul), backend.name
-            assert np.array_equal(backend.add(kern, a, b), want_add), backend.name
+        want_mul = (a.astype(object) * b.astype(object) % q_col).astype(np.uint64)
+        want_add = ((a.astype(object) + b.astype(object)) % q_col).astype(np.uint64)
+        assert np.array_equal(kern.mul(a, b), want_mul)
+        assert np.array_equal(kern.add(a, b), want_add)
+        assert np.array_equal(backend.mul(kern, a, b), want_mul)
+        assert np.array_equal(backend.add(kern, a, b), want_add)
 
 
-# -- NTT parity: plan vs reference chain, and backends vs numpy --------------
+# -- NTT parity: plan and backend vs the reference chain ---------------------
 
 
 class TestNttParity:
@@ -130,20 +112,20 @@ class TestNttParity:
 
     @pytest.mark.parametrize("bits", (36, 62))
     def test_backends_match_numpy(self, bits):
+        """The backend's NTT entry points agree with ``NttChain``."""
         degree = 1024
         moduli = _chain(2 * degree, bits, 2)
-        plan = NttPlan([NttContext(degree, q) for q in moduli])
+        contexts = [NttContext(degree, q) for q in moduli]
+        plan = NttPlan(contexts)
+        chain = NttChain(contexts)
         x = _limbs(moduli, degree, seed=17)
-        reference = NumpyBackend()
-        want_fwd = reference.ntt_forward_all(plan, x.copy())
-        want_inv = reference.ntt_inverse_all(plan, want_fwd.copy())
-        for backend in _backends():
-            assert np.array_equal(
-                backend.ntt_forward_all(plan, x.copy()), want_fwd
-            ), backend.name
-            assert np.array_equal(
-                backend.ntt_inverse_all(plan, want_fwd.copy()), want_inv
-            ), backend.name
+        backend = NumpyBackend()
+        want_fwd = chain.forward_all(x.copy())
+        assert np.array_equal(backend.ntt_forward_all(plan, x.copy()), want_fwd)
+        assert np.array_equal(
+            backend.ntt_inverse_all(plan, want_fwd.copy()),
+            chain.inverse_all(want_fwd.copy()),
+        )
 
 
 # -- BConv parity ------------------------------------------------------------
@@ -160,8 +142,7 @@ class TestBconvParity:
         limbs = _limbs(src, N, seed)
         want = conv._convert_rows_legacy(limbs)
         assert np.array_equal(conv.convert_rows(limbs), want)
-        for backend in _backends():
-            assert np.array_equal(backend.bconv(conv, limbs), want), backend.name
+        assert np.array_equal(NumpyBackend().bconv(conv, limbs), want)
 
 
 # -- key-switch inner product parity -----------------------------------------
@@ -194,87 +175,18 @@ class TestKeyswitchInnerParity:
             kernels.shoup_precompute(a_stack, kern.q).astype(np.float64) * 2.0**-64
         )
         want = _naive_inner(kern, ext, b_stack, a_stack)
-        for backend in _backends():
-            for shoups in ((None, None), (b_shoup_f, a_shoup_f)):
-                got = backend.keyswitch_inner(kern, ext, b_stack, a_stack, *shoups)
-                assert np.array_equal(got[0], want[0]), backend.name
-                assert np.array_equal(got[1], want[1]), backend.name
+        backend = NumpyBackend()
+        for shoups in ((None, None), (b_shoup_f, a_shoup_f)):
+            got = backend.keyswitch_inner(kern, ext, b_stack, a_stack, *shoups)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
-# -- parallel backend: genuinely sharded path --------------------------------
-
-
-class TestParallelSharded:
-    def test_sharded_ntt_and_bconv_match_numpy(self):
-        """Force real worker shards (2 workers, no size floor)."""
-        degree = 1024
-        moduli = _chain(2 * degree, 36, 4)
-        plan = NttPlan([NttContext(degree, q) for q in moduli])
-        src = moduli[:3]
-        dst = _primes(2 * degree, 35, 2, exclude=set(moduli))
-        conv = BaseConverter(src, dst, centered=True)
-        x = _limbs(moduli, degree, seed=5)
-        y = _limbs(src, degree, seed=6)
-        reference = NumpyBackend()
-        backend = ParallelBackend(workers=2, min_shard_elems=1)
-        try:
-            fwd = reference.ntt_forward_all(plan, x.copy())
-            assert np.array_equal(backend.ntt_forward_all(plan, x.copy()), fwd)
-            assert np.array_equal(
-                backend.ntt_inverse_all(plan, fwd.copy()),
-                reference.ntt_inverse_all(plan, fwd.copy()),
-            )
-            assert np.array_equal(
-                backend.bconv(conv, y), reference.bconv(conv, y)
-            )
-        finally:
-            backend.close()
-        backend.close()  # idempotent
-
-
-# -- registry, fallback, cache plumbing --------------------------------------
+# -- kernel cache plumbing ---------------------------------------------------
 
 
 class TestRegistry:
-    def test_available_backends(self):
-        names = available_backends()
-        for expected in ("numpy", "parallel", "numba"):
-            assert expected in names
-
-    def test_get_backend_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend("cuda")
-
-    def test_resolve_backend_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert resolve_backend(None).name == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "parallel")
-        assert resolve_backend(None).name == "parallel"
-        assert resolve_backend("numpy").name == "numpy"  # explicit beats env
-        instance = NumpyBackend()
-        assert resolve_backend(instance) is instance
-        with pytest.raises(TypeError):
-            resolve_backend(1234)
-
-    @pytest.mark.skipif(
-        numba_backend.HAVE_NUMBA, reason="numba importable: no fallback"
-    )
-    def test_numba_absent_falls_back_with_warning(self):
-        numba_backend._warned = False
-        with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
-            backend = get_backend("numba")
-        assert backend.jit_active is False
-        # Degraded shell still computes (via the numpy baseline).
-        moduli = _chain(2 * N, 36, 2)
-        kern = kernels.ModulusKernel(moduli)
-        a, b = _limbs(moduli, N, 1), _limbs(moduli, N, 2)
-        assert np.array_equal(
-            backend.mul(kern, a, b), NumpyBackend().mul(kern, a, b)
-        )
-        # The warning fires once per process, not once per instance.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            get_backend("numba")
+    """The ``kernel_for`` LRU: one shared kernel per modulus."""
 
     def test_kernel_for_lru_identity_and_stats(self):
         q = _chain(2 * N, 36, 1)[0]

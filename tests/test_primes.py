@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.params import primes as primes_mod
 from repro.params.primes import (
     MAX_DS_PRODUCT_DEVIATION,
     MAX_SS_DEVIATION,
@@ -85,6 +86,42 @@ class TestDsPairs:
     def test_small_ring_has_plenty(self):
         pairs = find_ds_pairs(TWO_N_SMALL, 40, 12, word_bits=31)
         assert len(pairs) == 12
+
+    def test_serve_62_bit_preset_tests_few_candidates(self, monkeypatch):
+        """The pair search tests only the small-side primes it consumes.
+
+        Enumerating every NTT candidate below sqrt(Delta) up front cost
+        4,194,408 primality tests (tens of seconds) for the 62-bit serve
+        preset; the lazy walk needs ~10^2 and picks the same primes.
+        """
+        from repro.params.presets import build_native_ckks_params
+        from repro.serve.offline import SERVE_DEGREE, SERVE_DEPTH
+
+        calls = 0
+
+        def counting(n):
+            nonlocal calls
+            calls += 1
+            return is_probable_prime(n)
+
+        monkeypatch.setattr(primes_mod, "is_probable_prime", counting)
+        params = build_native_ckks_params(
+            62, degree=SERVE_DEGREE, depth=SERVE_DEPTH
+        )
+        assert calls < 10_000
+        assert list(params.q_primes) == [
+            17179791361,
+            17179967489,
+            2305843009213554689,
+            2305843009213616129,
+            2305843009213800449,
+            2305843009213812737,
+        ]
+        assert list(params.aux_primes) == [
+            2305843009213861889,
+            2305843009213870081,
+            2305843009213919233,
+        ]
 
 
 class TestAuxPrimes:
