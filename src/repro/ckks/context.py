@@ -13,7 +13,9 @@ short-word accelerator would (paper S3.1).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import overload
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from repro.params.primes import (
     find_ds_pairs,
     find_ss_primes,
 )
+from repro.rns import kernels
 from repro.rns.modmath import mod_inverse
 from repro.rns.poly import RingContext, RnsPolynomial
 from repro.secrecy import declassified, redacted_digest
@@ -33,6 +36,7 @@ __all__ = [
     "LevelStep",
     "CkksParams",
     "SecretKey",
+    "EvalKey",
     "KeySet",
     "CkksContext",
     "make_params",
@@ -322,6 +326,92 @@ class SecretKey:
     __str__ = __repr__
 
 
+EvkDigit = tuple[RnsPolynomial, RnsPolynomial]
+
+
+class EvalKey(Sequence[EvkDigit]):
+    """One hybrid key-switching key, with its constant-operand data.
+
+    The ``dnum`` digit pairs ``(b_j, a_j)`` over the full basis ``PQ``
+    live in two read-only ``(dnum, len(basis), N)`` uint64 stacks, ``b``
+    and ``a``.  A key is a constant operand of every switch it serves,
+    so its exact float Shoup quotient stacks ``b_shoup_f``/``a_shoup_f``
+    (``floor(w * 2**64 / q) * 2**-64``, ``None`` unless the basis is
+    float-lane eligible) are computed here once; a switch at any level
+    slices stacks and quotients by digit count and kept rows.
+
+    Indexing and iteration yield the digit pairs as ``RnsPolynomial``
+    views into the stacks, so the legacy switch path and the wire codec
+    read a key as the digit list it always was.
+    """
+
+    def __init__(
+        self,
+        ring: RingContext,
+        basis: tuple[int, ...],
+        b: np.ndarray,
+        a: np.ndarray,
+    ):
+        if b.shape != a.shape or b.shape[1:] != (len(basis), ring.degree):
+            raise ValueError("evk stacks must both be (dnum, len(basis), N)")
+        b.setflags(write=False)
+        a.setflags(write=False)
+        self.basis = basis
+        self.b = b
+        self.a = a
+        self.b_shoup_f: np.ndarray | None = None
+        self.a_shoup_f: np.ndarray | None = None
+        kern = ring.chain_kernel(basis)
+        if kern.float_ok:
+            self.b_shoup_f = _shoup_f(b, kern.q)
+            self.a_shoup_f = _shoup_f(a, kern.q)
+        self._digits = tuple(
+            (
+                RnsPolynomial(ring, basis, b[j], ntt_form=True),
+                RnsPolynomial(ring, basis, a[j], ntt_form=True),
+            )
+            for j in range(b.shape[0])
+        )
+
+    @classmethod
+    def from_digits(cls, digits: Iterable[EvkDigit]) -> "EvalKey":
+        """Stack NTT-form digit pairs sharing one basis into a key."""
+        pairs = list(digits)
+        if not pairs:
+            raise ValueError("a switch key needs at least one digit")
+        first = pairs[0][0]
+        for poly in (p for pair in pairs for p in pair):
+            if poly.moduli != first.moduli or not poly.ntt_form:
+                raise ValueError("evk digits must share one NTT-form basis")
+        return cls(
+            first.ring,
+            first.moduli,
+            np.stack([b_j.limbs for b_j, _ in pairs]),
+            np.stack([a_j.limbs for _, a_j in pairs]),
+        )
+
+    def __len__(self) -> int:
+        return len(self._digits)
+
+    @overload
+    def __getitem__(self, index: int) -> EvkDigit: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> Sequence[EvkDigit]: ...
+
+    def __getitem__(self, index: int | slice) -> EvkDigit | Sequence[EvkDigit]:
+        return self._digits[index]
+
+    def __repr__(self) -> str:
+        dnum, limbs, degree = self.b.shape
+        return f"EvalKey(dnum={dnum}, limbs={limbs}, degree={degree})"
+
+
+def _shoup_f(stack: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact per-element float Shoup quotients against the basis rows."""
+    return kernels.shoup_precompute(stack, q).astype(np.float64) * 2.0**-64
+
+
 class KeySet:
     """Secret key plus lazily generated public/evaluation keys.
 
@@ -338,7 +428,7 @@ class KeySet:
         self.rng = rng
         self.secret = SecretKey(coeffs=self._sample_secret())
         self._secret_cache: dict[tuple[int, ...], RnsPolynomial] = {}
-        self._evk_cache: dict[object, list[tuple[RnsPolynomial, RnsPolynomial]]] = {}
+        self._evk_cache: dict[object, EvalKey] = {}
         self._public_key: tuple[RnsPolynomial, RnsPolynomial] | None = None
         # Digit selectors g_j as big ints over the full Q.
         q_primes = params.q_primes
@@ -423,22 +513,22 @@ class KeySet:
             digits.append((b_j, a_j))
         return digits
 
-    def relinearization_key(self) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+    def relinearization_key(self) -> EvalKey:
         """evk_mult: switches ``s**2`` back to ``s``."""
         key = "mult"
         if key not in self._evk_cache:
             basis = self.params.full_basis
             s = self.secret_poly(basis)
-            self._evk_cache[key] = self._make_evk(s * s)
+            self._evk_cache[key] = EvalKey.from_digits(self._make_evk(s * s))
         return self._evk_cache[key]
 
-    def galois_key(self, galois: int) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+    def galois_key(self, galois: int) -> EvalKey:
         """evk_rot for one automorphism: switches ``s(X**g)`` back to ``s``."""
         key = ("galois", galois)
         if key not in self._evk_cache:
             basis = self.params.full_basis
             s_g = self.secret_poly(basis).automorphism(galois)
-            self._evk_cache[key] = self._make_evk(s_g)
+            self._evk_cache[key] = EvalKey.from_digits(self._make_evk(s_g))
         return self._evk_cache[key]
 
     # -- public-key material (the repro.serve key ceremony) ----------------------
@@ -497,7 +587,7 @@ class KeySet:
 
     def make_switch_key(
         self, target_pk: tuple[RnsPolynomial, RnsPolynomial]
-    ) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+    ) -> EvalKey:
         """Key-switching key from *this* secret to a public key's owner.
 
         Each hybrid digit ``P * g_j * s`` is public-key-encrypted under
@@ -514,7 +604,7 @@ class KeySet:
             factor = p_big * g_j
             msg = src.scalar_mul([factor % q for q in basis])
             digits.append(self.pk_encrypt_poly(msg, target_pk))
-        return digits
+        return EvalKey.from_digits(digits)
 
 
 class CkksContext:

@@ -15,21 +15,15 @@ selectors for any prefix of it.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
-from repro.ckks.context import CkksContext
+from repro.ckks.context import CkksContext, EvalKey
 from repro.rns import kernels
 from repro.rns.bconv import CONVERTERS
 from repro.rns.modmath import mod_inverse
 from repro.rns.poly import RnsPolynomial
 
 __all__ = ["KeySwitcher"]
-
-# Evaluation-key stacks pinned per switch plan (a server typically holds
-# one relinearization key plus a handful of rotation keys per context).
-_EVK_STACK_CAPACITY = 8
 
 
 class _SwitchPlan:
@@ -72,9 +66,17 @@ class _SwitchPlan:
         self.rest_moduli = tuple(rest_moduli)
         self.row_digit = np.array(row_digit, dtype=np.intp)
         self.row_target = np.array(row_target, dtype=np.intp)
-        self.keep = list(range(len(active))) + [
-            len(params.q_primes) + i for i in range(len(aux))
-        ]
+        # evk rows this chain consumes: the active q rows and the aux
+        # rows.  At the top level that is every row, so a basic slice
+        # reads the key's stacks in place; a gather there would allocate
+        # and fault in four fresh stacks on every switch.
+        keep = np.array(
+            list(range(len(active)))
+            + [len(params.q_primes) + i for i in range(len(aux))],
+            dtype=np.intp,
+        )
+        top = len(active) == len(params.q_primes)
+        self.evk_rows = (slice(len(self.digits)), slice(None) if top else keep)
         self.kern = ring.chain_kernel(self.target)
         # Doubled chains: ModDown transforms/converts (u0, u1) pairs in
         # one batched call each — rows stack for the NTT, columns
@@ -87,40 +89,24 @@ class _SwitchPlan:
         self.p_inv_col = np.array(p_inv + p_inv, dtype=np.uint64).reshape(-1, 1)
         self.p_inv_shoup = self.kern2.shoup(p_inv + p_inv)
         self.p_inv_shoup_f = self.p_inv_shoup.astype(np.float64) * 2.0**-64
-        self._evk_stacks: OrderedDict = OrderedDict()
 
     def evk_stack(
-        self, evk: list
+        self, evk: EvalKey
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """``(D, E, N)`` stacks of the evk rows this chain consumes.
+        """``(D, E, N)`` slices of the evk stacks this chain consumes.
 
-        Keyed by identity — evaluation keys are immutable and few; the
-        pinned reference keeps the id stable for the cache's lifetime.
-        On float-lane chains the entry also carries per-element float
-        Shoup quotients for both stacks: the evk is a *constant*
-        operand, so the inner product can run as a 6-pass Shoup multiply
-        instead of the ~3x more expensive variable product.
+        The key carries its float Shoup quotients (computed once, when
+        it was made), so a switch only gathers the rows of its level:
+        the evk is a *constant* operand, and the inner product runs as a
+        6-pass Shoup multiply instead of the ~3x more expensive variable
+        product.
         """
-        entry = self._evk_stacks.get(id(evk))
-        if entry is not None:
-            self._evk_stacks.move_to_end(id(evk))
-            return entry[1], entry[2], entry[3], entry[4]
-        d = len(self.digits)
-        b_stack = np.stack([b_j.limbs[self.keep] for b_j, _ in evk[:d]])
-        a_stack = np.stack([a_j.limbs[self.keep] for _, a_j in evk[:d]])
+        rows = self.evk_rows
         b_shoup_f = a_shoup_f = None
-        if self.kern.float_ok:
-            b_shoup_f = self._stack_shoup_f(b_stack)
-            a_shoup_f = self._stack_shoup_f(a_stack)
-        self._evk_stacks[id(evk)] = (evk, b_stack, a_stack, b_shoup_f, a_shoup_f)
-        while len(self._evk_stacks) > _EVK_STACK_CAPACITY:
-            self._evk_stacks.popitem(last=False)
-        return b_stack, a_stack, b_shoup_f, a_shoup_f
-
-    def _stack_shoup_f(self, stack: np.ndarray) -> np.ndarray:
-        """Exact per-element float Shoup quotients against the chain rows."""
-        shoup = kernels.shoup_precompute(stack, self.kern.q)
-        return shoup.astype(np.float64) * 2.0**-64
+        if evk.b_shoup_f is not None and evk.a_shoup_f is not None:
+            b_shoup_f = evk.b_shoup_f[rows]
+            a_shoup_f = evk.a_shoup_f[rows]
+        return evk.b[rows], evk.a[rows], b_shoup_f, a_shoup_f
 
 
 class KeySwitcher:
@@ -188,9 +174,7 @@ class KeySwitcher:
         return diff.scalar_mul(p_inv)
 
     def switch(
-        self,
-        poly: RnsPolynomial,
-        evk: list[tuple[RnsPolynomial, RnsPolynomial]],
+        self, poly: RnsPolynomial, evk: EvalKey
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
         """Full key-switch of ``poly`` (NTT form, active basis).
 
@@ -214,9 +198,7 @@ class KeySwitcher:
         return self.mod_down(acc0), self.mod_down(acc1)
 
     def _switch_planned(
-        self,
-        poly: RnsPolynomial,
-        evk: list[tuple[RnsPolynomial, RnsPolynomial]],
+        self, poly: RnsPolynomial, evk: EvalKey
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
         """Planned key-switch: batched transforms, one fused inner product.
 

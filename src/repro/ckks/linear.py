@@ -12,12 +12,13 @@ SlotToCoeff) carry a second matrix applied to ``conj(z)``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ckks.cipher import Ciphertext
+from repro.ckks.cipher import Ciphertext, Plaintext
 from repro.ckks.ops import Evaluator
 
 __all__ = ["LinearTransform", "bsgs_split"]
@@ -38,13 +39,33 @@ def bsgs_split(n_diagonals: int, baby: int | None = None) -> tuple[int, int]:
     return baby, giant
 
 
+# One matrix's BSGS schedule: the baby rotations it needs, then per
+# giant step ``i`` the ``(j, pre-rolled diagonal)`` terms it sums.
+_Giants = list[tuple[int, list[tuple[int, np.ndarray]]]]
+_Part = tuple[int, list[int], _Giants]
+
+
 @dataclass
 class LinearTransform:
-    """A (possibly conjugate-carrying) slot-space linear map."""
+    """A (possibly conjugate-carrying) slot-space linear map.
+
+    The BSGS diagonals are constants: they are extracted and pre-rolled
+    once, and their encoded plaintexts are kept for the one ``(context,
+    level, input scale, output scale)`` the transform last ran at — a
+    bootstrapper applies each transform at a fixed point, so every call
+    after the first reuses the set.  Another point re-encodes and
+    replaces it, which keeps memory bounded.
+    """
 
     matrix: np.ndarray  # applied to z
     conj_matrix: np.ndarray | None = None  # applied to conj(z)
     baby_steps: int | None = None
+    _parts: list[_Part] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _encoded: tuple[tuple, list[list[list[Plaintext]]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -80,6 +101,54 @@ class LinearTransform:
                 out[d] = diag
         return out
 
+    def _bsgs_parts(self) -> list[_Part]:
+        """Per matrix: needed baby steps and pre-rolled diagonals (built once)."""
+        if self._parts is None:
+            n = self.size
+            bs, gs = bsgs_split(n, self.baby_steps)
+            matrices = [self.matrix]
+            if self.conj_matrix is not None:
+                matrices.append(self.conj_matrix)
+            self._parts = []
+            for matrix in matrices:
+                scale_cut = 1e-14 * (np.max(np.abs(matrix)) + 1e-300)
+                diags = self._diagonals(matrix, tol=scale_cut)
+                giants: _Giants = []
+                for i in range(gs):
+                    # Pre-rotate each diagonal so the outer rotation by
+                    # i*bs lands it in place.
+                    terms = [
+                        (j, np.roll(diags[i * bs + j], i * bs))
+                        for j in range(bs)
+                        if i * bs + j in diags
+                    ]
+                    if terms:
+                        giants.append((i, terms))
+                babies = sorted({d % bs for d in diags})
+                self._parts.append((bs, babies, giants))
+        return self._parts
+
+    def _plaintexts(
+        self, ev: Evaluator, ct: Ciphertext, target_scale: float
+    ) -> list[list[list[Plaintext]]]:
+        """Encoded diagonals for this application point (cached, one set)."""
+        key = (ev.context, ct.level, ct.scale, target_scale)
+        if self._encoded is None or self._encoded[0] != key:
+            step_scale = ev.params.step_at(ct.level).scale
+            pt_scale = target_scale * step_scale / ct.scale
+            encoded = [
+                [
+                    [
+                        ev.context.encode(diag, level=ct.level, scale=pt_scale)
+                        for _, diag in terms
+                    ]
+                    for _, terms in giants
+                ]
+                for _, _, giants in self._bsgs_parts()
+            ]
+            self._encoded = (key, encoded)
+        return self._encoded[1]
+
     # -- homomorphic application -----------------------------------------------------
 
     def apply(
@@ -93,54 +162,33 @@ class LinearTransform:
         EvalMod scale: the diagonal plaintexts are encoded at whatever
         scale makes the post-rescale result land exactly there.
         """
-        n = self.size
-        if ev.params.slots != n:
+        if ev.params.slots != self.size:
             raise ValueError("transform size must equal the slot count")
-        parts = [(self.matrix, ct)]
+        bases = [ct]
         if self.conj_matrix is not None:
-            parts.append((self.conj_matrix, ev.conjugate(ct)))
+            bases.append(ev.conjugate(ct))
+        target_scale = output_scale if output_scale is not None else ct.scale
+        plaintexts = self._plaintexts(ev, ct, target_scale)
 
         acc: Ciphertext | None = None
-        target_scale = output_scale if output_scale is not None else ct.scale
-        for matrix, base in parts:
-            scale_cut = 1e-14 * (np.max(np.abs(matrix)) + 1e-300)
-            diags = self._diagonals(matrix, tol=scale_cut)
-            if not diags:
-                continue
-            bs, gs = bsgs_split(n, self.baby_steps)
-            # Baby rotations rot_j(base) for j in [0, bs).
-            baby_cts: dict[int, Ciphertext] = {}
-            needed_babies = {d % bs for d in diags}
-            for j in sorted(needed_babies):
-                baby_cts[j] = ev.rotate(base, j) if j else base
-            step_scale = ev.params.step_at(ct.level).scale
-            for i in range(gs):
-                inner: Ciphertext | None = None
-                for j in range(bs):
-                    d = i * bs + j
-                    if d not in diags:
-                        continue
-                    # Pre-rotate the diagonal so the outer rotation by
-                    # i*bs lands it in place.
-                    diag = np.roll(diags[d], i * bs)
-                    src = baby_cts[j]
-                    pt_scale = target_scale * step_scale / src.scale
-                    pt = ev.context.encode(diag, level=src.level, scale=pt_scale)
-                    term = ev.multiply_plain(src, pt, rescale=False)
-                    inner = term if inner is None else ev.add(inner, term)
-                if inner is None:
-                    continue
-                if i * bs:
-                    inner = ev.rescale(inner)
-                    inner = Ciphertext(
-                        inner.c0, inner.c1, inner.level, target_scale
-                    )
-                    rotated = ev.rotate(inner, i * bs)
-                else:
-                    rotated = ev.rescale(inner)
-                    rotated = Ciphertext(
-                        rotated.c0, rotated.c1, rotated.level, target_scale
-                    )
+        for (bs, babies, giants), base, part_pts in zip(
+            self._bsgs_parts(), bases, plaintexts
+        ):
+            # Baby rotations rot_j(base) for the needed j in [0, bs).
+            baby_cts = {j: ev.rotate(base, j) if j else base for j in babies}
+            for (i, terms), pts in zip(giants, part_pts):
+                inner = functools.reduce(
+                    ev.add,
+                    (
+                        ev.multiply_plain(baby_cts[j], pt, rescale=False)
+                        for (j, _), pt in zip(terms, pts)
+                    ),
+                )
+                rescaled = ev.rescale(inner)
+                rescaled = Ciphertext(
+                    rescaled.c0, rescaled.c1, rescaled.level, target_scale
+                )
+                rotated = ev.rotate(rescaled, i * bs) if i * bs else rescaled
                 acc = rotated if acc is None else ev.add(acc, rotated)
         if acc is None:
             raise ValueError("transform is numerically zero")

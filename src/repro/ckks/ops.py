@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from repro.ckks.cipher import Ciphertext, Plaintext
-from repro.ckks.context import CkksContext
+from repro.ckks.context import CkksContext, EvalKey
 from repro.ckks.keyswitch import KeySwitcher
 from repro.rns import kernels
 from repro.rns.modmath import mod_inverse
@@ -407,16 +407,16 @@ class Evaluator:
     def apply_switch_key(
         self,
         ct: Ciphertext,
-        evk: list[tuple[RnsPolynomial, RnsPolynomial]],
+        evk: EvalKey,
     ) -> Ciphertext:
         """Re-encrypt under the secret ``evk`` switches to.
 
-        ``evk`` is a hybrid digit list from ``KeySet.make_switch_key``
-        (or ``_make_evk``): switching ``c1`` yields ``(u0, u1)`` with
-        ``u0 + u1*s_dst ~ c1*s_src``, so ``(c0 + u0, u1)`` decrypts to
-        the same message under the destination secret.  This is the
-        tenant-key <-> batch-key move of the ``repro.serve`` ingress and
-        egress paths.
+        ``evk`` is a hybrid switch key from ``KeySet.make_switch_key``
+        (or one enrolled from the wire): switching ``c1`` yields
+        ``(u0, u1)`` with ``u0 + u1*s_dst ~ c1*s_src``, so
+        ``(c0 + u0, u1)`` decrypts to the same message under the
+        destination secret.  This is the tenant-key <-> batch-key move
+        of the ``repro.serve`` ingress and egress paths.
         """
         u0, u1 = self.switcher.switch(ct.c1, evk)
         return Ciphertext(ct.c0 + u0, u1, ct.level, ct.scale)

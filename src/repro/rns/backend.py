@@ -36,14 +36,6 @@ class NumpyBackend:
 
     name = "numpy"
 
-    def __init__(self) -> None:
-        # (D, E, N)-shaped scratch for the key-switch inner product,
-        # keyed by shape — steady state allocates nothing.
-        self._ks_scratch: dict[
-            tuple[int, ...],
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
-
     def mul(self, kern: ModulusKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if kern.float_ok and kern.split:
             return kern.mul_f(a, b)
@@ -89,16 +81,12 @@ class NumpyBackend:
             and kern.float_ok
             and digits * 3 * int(kern.q_max) < (1 << 63)
         ):
-            sc = self._ks_scratch.get(ext.shape)
-            if sc is None:
-                sc = (
-                    np.empty(ext.shape, dtype=np.float64),
-                    np.empty(ext.shape, dtype=np.uint64),
-                    np.empty(ext.shape, dtype=np.uint64),
-                    np.empty(ext.shape[1:], dtype=np.uint64),
-                )
-                self._ks_scratch[ext.shape] = sc
-            f, qhat, r, acc = sc
+            # (D, E, N) intermediates in BConv's workspace slots: the
+            # two never nest, and both hold ``acc`` across a kernel call.
+            f = kernels.workspace(3, ext.shape, np.float64)
+            qhat = kernels.workspace(4, ext.shape, np.uint64)
+            r = kernels.workspace(5, ext.shape, np.uint64)
+            acc = kernels.workspace(6, ext.shape[1:], np.uint64)
             outs = []
             for stack, shoup_f in ((b_stack, b_shoup_f), (a_stack, a_shoup_f)):
                 np.multiply(ext, shoup_f, out=f)

@@ -110,9 +110,6 @@ class BaseConverter:
         )
         self._src_float = self._src_kernel.float_ok
         self._inv_shoup_f = self._inv_shoup.astype(np.float64) * 2.0**-64
-        # (K, L, N) scratch per seen N — the fused path is allocation-free
-        # in steady state (ModDown calls it with both N and 2N widths).
-        self._scratch: dict[int, tuple] = {}
         if self._fused_ok:
             self._table3 = self.table[:, :, None]
             self._table_f = (
@@ -178,18 +175,14 @@ class BaseConverter:
         legacy per-row loop bit for bit.
         """
         y, overflow = self._scaled_src(limbs)
-        n = limbs.shape[-1]
-        sc = self._scratch.get(n)
-        if sc is None:
-            shape = (len(self.dst_moduli), len(self.src_moduli), n)
-            sc = (
-                np.empty(shape, dtype=np.float64),
-                np.empty(shape, dtype=np.uint64),
-                np.empty(shape, dtype=np.uint64),
-                np.empty(shape[::2], dtype=np.uint64),
-            )
-            self._scratch[n] = sc
-        f, qhat, r, acc = sc
+        # (K, L, N) intermediates from the shared workspace (slots 3-6,
+        # clear of the kernel's): allocation-free in steady state across
+        # every converter and width, ModDown's 2N included.
+        shape = (len(self.dst_moduli), len(self.src_moduli), limbs.shape[-1])
+        f = kernels.workspace(3, shape, np.float64)
+        qhat = kernels.workspace(4, shape, np.uint64)
+        r = kernels.workspace(5, shape, np.uint64)
+        acc = kernels.workspace(6, shape[::2], np.uint64)
         np.multiply(y, self._table_f, out=f)
         np.copyto(qhat, f, casting="unsafe")
         qhat *= self._dst_q3

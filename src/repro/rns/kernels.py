@@ -37,6 +37,8 @@ single broadcast expression over the whole matrix).
 from __future__ import annotations
 
 import functools
+import math
+import threading
 from functools import lru_cache
 from typing import Any, Callable, TypeVar
 
@@ -78,6 +80,7 @@ __all__ = [
     "ModulusKernel",
     "kernel_for",
     "kernel_cache_stats",
+    "workspace",
 ]
 
 FAST_MODULUS_BITS = 62
@@ -184,21 +187,48 @@ def neg_mod(a, q) -> np.ndarray:
     return np.where(a == zero, zero, q - a)
 
 
-def shoup_precompute(w, q: int):
+def shoup_precompute(w, q):
     """Shoup quotient ``floor(w * 2**64 / q)`` for constants ``w < q``.
 
-    ``w`` may be a Python int or an integer array; the division is done
-    in arbitrary precision (setup-time only) and returned as uint64.
+    ``w`` may be a Python int or an integer array and ``q`` an int or an
+    array broadcasting against ``w`` (e.g. an ``(L, 1)`` modulus
+    column).  Arrays take an exact vectorized base-``2**c`` long
+    division (:func:`_shoup_long_division`); a Python int is divided in
+    arbitrary precision.  Returned as uint64.
     """
     if isinstance(w, np.ndarray):
-        if w.dtype == object:
-            wide = w << 64
-        else:
-            wide = w.astype(object) << 64
-        if isinstance(q, np.ndarray):
-            return (wide // q.astype(object)).astype(np.uint64)
-        return (wide // int(q)).astype(np.uint64)
+        return _shoup_long_division(
+            w.astype(np.uint64, copy=False), np.asarray(q).astype(np.uint64)
+        )
     return np.uint64((int(w) << 64) // int(q))
+
+
+def _shoup_long_division(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``floor(w * 2**64 / q)`` by base-``2**c`` long division in uint64.
+
+    With ``c = 64 - bitlen(q_max)`` every partial remainder ``r < q``
+    satisfies ``r * 2**c < 2**64``, so each step's ``(r << c) // q`` and
+    ``% q`` are exact uint64 divisions; ``ceil(64 / c)`` steps shift in
+    the 64 zero bits of ``w * 2**64`` (two for a 14-bit modulus, 32 for
+    a 62-bit one).  The quotient fits 64 bits because ``w < q``.
+    """
+    q_max = int(q.max())
+    if not 0 < q_max < FAST_MODULUS_LIMIT:
+        raise ValueError(f"modulus {q_max} outside (0, 2**{FAST_MODULUS_BITS})")
+    if np.any(w >= q):
+        raise ValueError("Shoup constants must be reduced below the modulus")
+    step = 64 - q_max.bit_length()
+    rem = np.array(np.broadcast_to(w, np.broadcast(w, q).shape))
+    quot = np.zeros_like(rem)
+    done = 0
+    while done < 64:
+        shift = np.uint64(min(step, 64 - done))
+        rem <<= shift
+        digit, rem = np.divmod(rem, q)
+        quot <<= shift
+        quot |= digit
+        done += int(shift)
+    return quot
 
 
 @_wrapping
@@ -217,6 +247,42 @@ def shoup_mul(a, w, w_shoup, q) -> np.ndarray:
     """``a * w mod q`` canonical, via one conditional subtraction."""
     r = shoup_mul_lazy(a, w, w_shoup, q)
     return np.where(r >= q, r - q, r)
+
+
+# -- scratch workspace -------------------------------------------------------
+
+# Slots 0-2 belong to ModulusKernel's float-lane ops, whose
+# intermediates never escape a method, so every kernel shares them.
+# BConv and the key-switch inner product own slots 3-6: they hold their
+# accumulator while calling a kernel, so they must not collide with 0-2.
+WORKSPACE_SLOTS = 7
+
+
+class _Workspace(threading.local):
+    """One grow-only byte buffer per slot, private to each thread."""
+
+    def __init__(self) -> None:
+        self.buffers = [np.empty(0, dtype=np.uint8)] * WORKSPACE_SLOTS
+
+
+_WORKSPACE = _Workspace()
+
+
+def workspace(
+    slot: int, shape: tuple[int, ...], dtype: type[np.generic]
+) -> np.ndarray:
+    """A scratch array of ``shape``/``dtype`` over this thread's ``slot``.
+
+    The slot's buffer only ever grows, so steady state allocates
+    nothing whatever mix of chain widths and degrees runs.  The view is
+    valid until the next request for the same slot on this thread —
+    callers hold it within one call and never return it.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buffers = _WORKSPACE.buffers
+    if buffers[slot].nbytes < nbytes:
+        buffers[slot] = np.empty(nbytes, dtype=np.uint8)
+    return buffers[slot][:nbytes].view(dtype).reshape(shape)
 
 
 class ModulusKernel:
@@ -271,22 +337,6 @@ class ModulusKernel:
         # 53 bits — precisely the operand the float-lane error analysis
         # (repro.check.bounds.prove_float_barrett) models.
         self.v64_f = self.v64.astype(np.float64) * _INV_2_64
-        # Intermediate scratch per broadcast shape: the float-lane ops
-        # below run entirely on ``out=`` passes, allocating only their
-        # result array in steady state.  Kernels are cached process-wide
-        # (``kernel_for``), so the pool amortizes across every call.
-        self._pool: dict[tuple, tuple] = {}
-
-    def _scratch3(self, shape) -> tuple:
-        sc = self._pool.get(shape)
-        if sc is None:
-            sc = (
-                np.empty(shape, dtype=np.uint64),
-                np.empty(shape, dtype=np.uint64),
-                np.empty(shape, dtype=np.float64),
-            )
-            self._pool[shape] = sc
-        return sc
 
     # -- element-wise ring ops -------------------------------------------
 
@@ -294,7 +344,7 @@ class ModulusKernel:
     def add(self, a, b) -> np.ndarray:
         """``(a + b) mod q`` for canonical residues (min-trick)."""
         shape = np.broadcast(a, b, self.q).shape
-        u1, _, _ = self._scratch3(shape)
+        u1 = workspace(0, shape, np.uint64)
         s = np.empty(shape, dtype=np.uint64)
         np.add(a, b, out=s)
         np.subtract(s, self.q, out=u1)
@@ -305,7 +355,7 @@ class ModulusKernel:
     def sub(self, a, b) -> np.ndarray:
         """``(a - b) mod q`` for canonical residues (min-trick)."""
         shape = np.broadcast(a, b, self.q).shape
-        u1, _, _ = self._scratch3(shape)
+        u1 = workspace(0, shape, np.uint64)
         d = np.empty(shape, dtype=np.uint64)
         np.subtract(a, b, out=d)
         np.add(d, self.q, out=u1)
@@ -348,7 +398,8 @@ class ModulusKernel:
         before the wrap fix and one conditional subtraction.
         """
         shape = np.broadcast(x, self.v64_f).shape
-        u1, _, f = self._scratch3(shape)
+        u1 = workspace(0, shape, np.uint64)
+        f = workspace(2, shape, np.float64)
         np.multiply(x, self.v64_f, out=f)
         np.copyto(u1, f, casting="unsafe")
         u1 *= self.q
@@ -364,7 +415,7 @@ class ModulusKernel:
     def reduce64_f(self, x) -> np.ndarray:
         """Float-lane Barrett, canonical ``[0, q)`` (requires ``float_ok``)."""
         r = self.reduce64_f_lazy(x)
-        u1, _, _ = self._scratch3(r.shape)
+        u1 = workspace(0, r.shape, np.uint64)
         np.subtract(r, self.q, out=u1)
         np.minimum(r, u1, out=r)
         return r
@@ -378,7 +429,8 @@ class ModulusKernel:
         ``float_ok``; ``lazy=True`` returns ``[0, 2q)``.
         """
         shape = np.broadcast(a, w, self.q).shape
-        u1, _, f = self._scratch3(shape)
+        u1 = workspace(0, shape, np.uint64)
+        f = workspace(2, shape, np.float64)
         np.multiply(a, w_shoup_f, out=f)
         np.copyto(u1, f, casting="unsafe")
         u1 *= self.q
@@ -408,7 +460,9 @@ class ModulusKernel:
         Requires ``float_ok and split``; ``lazy=True`` returns ``[0, 2q)``.
         """
         shape = np.broadcast(a, b, self.q).shape
-        u1, u2, f = self._scratch3(shape)
+        u1 = workspace(0, shape, np.uint64)
+        u2 = workspace(1, shape, np.uint64)
+        f = workspace(2, shape, np.float64)
         t = np.empty(shape, dtype=np.uint64)
         if np.shape(b) == shape:
             bh = np.right_shift(b, _SPLIT_SHIFT, out=u2)
@@ -481,7 +535,7 @@ class ModulusKernel:
             arr = np.array([int(x) for x in np.atleast_1d(w)], dtype=np.uint64)
         if np.isscalar(self.q) or self.q.ndim == 0:
             return shoup_precompute(arr if arr.ndim else int(arr), self.moduli[0])
-        return shoup_precompute(arr.reshape(-1, 1).astype(object), self.q.astype(object))
+        return shoup_precompute(arr.reshape(-1, 1), self.q)
 
     @_wrapping
     def mul_const(self, a, w, w_shoup=None) -> np.ndarray:

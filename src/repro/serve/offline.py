@@ -21,6 +21,7 @@ Presets are built lazily and cached: a server that only ever sees
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -128,21 +129,32 @@ class ServeOffline:
         word_bits: int,
         width: int,
         tenant_pk: tuple["RnsPolynomial", "RnsPolynomial"],
-        evk_in: SwitchKey,
+        evk_in: Sequence[tuple["RnsPolynomial", "RnsPolynomial"]],
     ) -> TenantSession:
-        """Finish the ceremony server-side and open the session."""
+        """Finish the ceremony server-side and open the session.
+
+        ``evk_in`` is the wire's digit list.  Its basis and digit count
+        are checked against the preset before it is stacked into a
+        :data:`SwitchKey` (once per session), so a mismatched key costs
+        no kernel or quotient work.
+        """
         preset = self.preset(word_bits)
         if width < 1 or width > preset.slots:
             raise ValueError(
                 f"lane width {width} out of range [1, {preset.slots}]"
             )
+        params = preset.params
+        if len(evk_in) != len(params.digit_spans()) or any(
+            poly.moduli != params.full_basis for pair in evk_in for poly in pair
+        ):
+            raise ValueError("switch key does not match the preset's basis")
         evk_out = preset.context.keys.make_switch_key(tenant_pk)
         return TenantSession(
             session_id=TenantSession.fresh_id(),
             word_bits=word_bits,
             width=width,
             tenant_pk=tenant_pk,
-            evk_in=evk_in,
+            evk_in=SwitchKey.from_digits(evk_in),
             evk_out=evk_out,
         )
 
@@ -152,7 +164,7 @@ class TenantKeys:
     """Client-side product of the offline ceremony (see module doc)."""
 
     context: "CkksContext" = field(repr=False)
-    evk_in: SwitchKey = field(repr=False, default_factory=list)
+    evk_in: SwitchKey = field(repr=False)
 
     def __repr__(self) -> str:
         # Digest-only: the context holds the tenant secret, and evk_in is

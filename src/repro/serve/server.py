@@ -272,7 +272,12 @@ class FheServer:
             return None, None
         evk_in = wire.decode_switch_key(payload, ring)
 
-        session = self.offline.enroll(word_bits, width, tenant_pk, evk_in)
+        try:
+            session = self.offline.enroll(word_bits, width, tenant_pk, evk_in)
+        except ValueError as exc:
+            self._send_error(writer, str(exc))
+            await writer.drain()
+            return None, None
         self.sessions[session.session_id] = session
         _log.info(
             "enrolled session=%s word_bits=%d width=%d",

@@ -22,10 +22,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.ckks.context import EvalKey
+
 if TYPE_CHECKING:
     from repro.rns.poly import RnsPolynomial
 
-SwitchKey = list[tuple["RnsPolynomial", "RnsPolynomial"]]
+# A switch key is an EvalKey: stacked digits plus their Shoup quotients,
+# built once at enrollment rather than on every ingress/egress switch.
+SwitchKey = EvalKey
 
 __all__ = ["SwitchKey", "TenantSession"]
 

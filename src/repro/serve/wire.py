@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import struct
 from enum import IntEnum
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -281,7 +281,7 @@ def decode_public_key(
 
 
 def encode_switch_key(
-    digits: list[tuple[RnsPolynomial, RnsPolynomial]],
+    digits: Sequence[tuple[RnsPolynomial, RnsPolynomial]],
 ) -> bytes:
     out = bytearray(_KEY_COUNT.pack(len(digits)))
     for b_j, a_j in digits:

@@ -182,6 +182,181 @@ class TestKeyswitchInnerParity:
             assert np.array_equal(got[1], want[1])
 
 
+# -- one scratch workspace ---------------------------------------------------
+
+
+def _converters():
+    """Two converters of different (K, L) shapes."""
+    src_a = _chain(2 * N, 36, 3)
+    dst_a = _primes(2 * N, 35, 5, exclude=set(src_a))
+    src_b = dst_a[:2]
+    dst_b = src_a + dst_a[2:]
+    return [BaseConverter(src_a, dst_a), BaseConverter(src_b, dst_b)]
+
+
+def _conversion_jobs(seed: int):
+    """Interleaved (converter, limbs) pairs at widths N and 2N (ModDown's)."""
+    jobs = []
+    for rnd in range(2):
+        for conv in _converters():
+            for width in (N, 2 * N):
+                limbs = _limbs(conv.src_moduli, width, seed + 7 * rnd + width)
+                jobs.append((conv, limbs))
+    return jobs
+
+
+def _array_bytes(obj) -> int:
+    return sum(v.nbytes for v in vars(obj).values() if isinstance(v, np.ndarray))
+
+
+class TestWorkspace:
+    def test_interleaved_shapes_match_legacy(self):
+        for conv, limbs in _conversion_jobs(seed=5):
+            want = conv._convert_rows_legacy(limbs)
+            assert np.array_equal(conv.convert_rows(limbs), want)
+
+    def test_threads_match_single_thread(self):
+        """Each thread has its own workspace: no buffer is shared."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        jobs = _conversion_jobs(seed=9) * 3
+
+        def run(pair):
+            conv, limbs = pair
+            kern = kernels.kernel_for(conv.dst_moduli)
+            rows = conv.convert_rows(limbs)
+            return rows, kern.mul_f(rows, rows), kern.reduce64_f(rows << np.uint64(3))
+
+        want = [run(job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, job) for job in jobs]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert np.array_equal(a, b)
+
+    def test_no_per_instance_scratch(self):
+        convs = _converters()
+        kern = kernels.ModulusKernel(convs[0].dst_moduli)
+        before = [_array_bytes(obj) for obj in (*convs, kern)]
+        for conv, limbs in _conversion_jobs(seed=3):
+            rows = conv.convert_rows(limbs)
+            if conv is convs[0]:
+                kern.reduce64_f(kern.add(rows, kern.mul_f(rows, rows)))
+        assert [_array_bytes(obj) for obj in (*convs, kern)] == before
+        for obj in (*convs, kern):
+            assert not any(isinstance(v, dict) for v in vars(obj).values())
+
+
+# -- evaluation keys: quotients made once, with the key ----------------------
+
+
+def _native36_context():
+    from repro.ckks.context import CkksContext
+    from repro.params.presets import build_native_ckks_params
+
+    params = build_native_ckks_params(word_bits=36, degree=1 << 10, depth=2)
+    return CkksContext(params, seed=5)
+
+
+class TestEvalKey:
+    def test_second_pass_over_ten_keys_recomputes_nothing(
+        self, small_context, small_evaluator, monkeypatch
+    ):
+        ct = small_context.encrypt(np.linspace(-1, 1, small_context.params.slots))
+        for r in range(1, 11):  # first pass: keys and plans are made
+            small_evaluator.rotate(ct, r)
+        calls = []
+        real = kernels.shoup_precompute
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "shoup_precompute", counting)
+        for r in range(1, 11):
+            small_evaluator.rotate(ct, r)
+        assert calls == []
+
+    @pytest.mark.parametrize("chain", ("ds", "native36"))
+    def test_stored_quotients_switch_bit_exact(self, chain, ds_context):
+        from repro.ckks.keyswitch import KeySwitcher
+
+        ctx = ds_context if chain == "ds" else _native36_context()
+        params = ctx.params
+        evk = ctx.keys.relinearization_key()
+        assert evk.b_shoup_f is not None and evk.a_shoup_f is not None
+        switcher = KeySwitcher(ctx)
+        z = np.linspace(-1, 1, params.slots)
+        # The top level keeps every q row; a lower one leaves a gap
+        # before the aux rows the plan must still gather.
+        for level in (params.max_level, 1):
+            poly = ctx.encrypt(z, level=level).c1
+            plan = switcher._plan(poly.moduli)
+            b, a, b_f, a_f = plan.evk_stack(evk)
+            for stack, stored in ((b, b_f), (a, a_f)):
+                fresh = kernels.shoup_precompute(stack, plan.kern.q)
+                assert np.array_equal(stored, fresh.astype(np.float64) * 2.0**-64)
+            planned = switcher.switch(poly, evk)
+            ctx.ring.use_plans = False
+            try:
+                legacy = switcher.switch(poly, evk)
+            finally:
+                ctx.ring.use_plans = True
+            for got, want in zip(planned, legacy):
+                assert np.array_equal(got.limbs, want.limbs)
+
+    def test_wire_decoded_enrolled_key_switches_like_client_key(self):
+        from repro.ckks.context import CkksContext, EvalKey
+        from repro.serve import wire
+        from repro.serve.offline import ServeOffline
+
+        offline = ServeOffline(word_lengths=(36,), seed=41)
+        preset = offline.preset(36)
+        tenant = CkksContext(preset.params, seed=42)
+        evk = tenant.keys.make_switch_key(preset.batch_public_key())
+        ring = preset.context.ring
+        decoded = wire.decode_switch_key(wire.encode_switch_key(evk), ring)
+        session = offline.enroll(36, 2, tenant.keys.public_key(), decoded)
+        assert isinstance(session.evk_in, EvalKey)
+        assert np.array_equal(session.evk_in.b_shoup_f, evk.b_shoup_f)
+        ct = wire.decode_ciphertext(
+            wire.encode_ciphertext(tenant.encrypt(np.ones(preset.slots))), ring
+        )
+        ev = preset.evaluator
+        got = ev.apply_switch_key(ct, session.evk_in)
+        want = ev.apply_switch_key(ct, evk)
+        assert np.array_equal(got.c0.limbs, want.c0.limbs)
+        assert np.array_equal(got.c1.limbs, want.c1.limbs)
+        with pytest.raises(ValueError):
+            offline.enroll(36, 2, tenant.keys.public_key(), decoded[:-1])
+
+    def test_enroll_refuses_wrong_basis_before_building_kernels(self):
+        from repro.ckks.context import CkksContext
+        from repro.serve.offline import ServeOffline
+
+        offline = ServeOffline(word_lengths=(36,), seed=43)
+        preset = offline.preset(36)
+        tenant = CkksContext(preset.params, seed=44)
+        evk = tenant.keys.make_switch_key(preset.batch_public_key())
+        # Every digit over the full basis minus its last aux prime: the
+        # right count, a plausible basis, the wrong one.
+        short = range(len(preset.params.full_basis) - 1)
+        wrong = [(b_j.keep_limbs(short), a_j.keep_limbs(short)) for b_j, a_j in evk]
+        ring = preset.context.ring
+        assert wrong[0][0].moduli not in ring._kernels
+        before = dict(ring._kernels)
+        with pytest.raises(ValueError):
+            offline.enroll(36, 2, tenant.keys.public_key(), wrong)
+        assert ring._kernels == before
+
+
 # -- kernel cache plumbing ---------------------------------------------------
 
 

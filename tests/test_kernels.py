@@ -127,6 +127,50 @@ class TestModulusKernel:
         assert [int(v) for v in got] == [int(x) * int(y) % q for x, y in zip(a, b)]
 
 
+class TestShoupPrecompute:
+    """The vectorized uint64 long division is exact at every width."""
+
+    @pytest.mark.parametrize("bits", (14, 31, 36, 47, 55, 62))
+    def test_matches_object_division(self, bits):
+        rng = np.random.default_rng(bits)
+        # Three moduli of exactly ``bits`` bits, top one the largest.
+        q = np.array(
+            [(1 << (bits - 1)) + 1 + 2 * k for k in range(2)] + [(1 << bits) - 1],
+            dtype=np.uint64,
+        ).reshape(-1, 1)
+        w = rng.integers(0, 1 << 63, (3, 64), dtype=np.uint64) % q
+        w[:, 0] = 0
+        w[:, 1] = (q - np.uint64(1)).ravel()
+
+        def want(w_arr, q_arr):
+            return (w_arr.astype(object) << 64) // q_arr.astype(object)
+
+        got = kernels.shoup_precompute(w, q)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got.astype(object), want(w, q))
+        # Broadcast (L, 1) columns, a scalar modulus, and a (D, L, N)
+        # stack against an (L, 1) column.
+        col = w[:, 1:2].copy()
+        got_col = kernels.shoup_precompute(col, q)
+        assert np.array_equal(got_col.astype(object), want(col, q))
+        q0 = int(q[0, 0])
+        got_row = kernels.shoup_precompute(w[0], q0)
+        assert np.array_equal(got_row.astype(object), want(w[0], np.array(q0)))
+        stack = np.stack([w, w[:, ::-1].copy()])
+        assert np.array_equal(
+            kernels.shoup_precompute(stack, q).astype(object), want(stack, q)
+        )
+        # Object arrays take the same division.
+        assert np.array_equal(
+            kernels.shoup_precompute(w.astype(object), q.astype(object)), got
+        )
+
+    def test_rejects_unreduced_constants(self):
+        q = np.array([[97]], dtype=np.uint64)
+        with pytest.raises(ValueError):
+            kernels.shoup_precompute(np.array([[97]], dtype=np.uint64), q)
+
+
 class TestChainKernel:
     def test_chain_mode_matches_scalar_kernels(self):
         mods = [PRIMES[28], PRIMES[36], PRIMES[50]]

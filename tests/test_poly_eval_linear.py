@@ -140,6 +140,58 @@ class TestLinearTransform:
         out = lt.apply(small_evaluator, small_context.encrypt(z))
         assert np.max(np.abs(small_context.decrypt(out) - d * z)) < 1e-4
 
+    def test_second_apply_encodes_nothing(
+        self, small_context, small_evaluator, rng, monkeypatch
+    ):
+        """Diagonals are encoded once per application point."""
+        from repro.ckks.context import CkksContext
+
+        n = 256
+        # A few scattered diagonals: several baby and giant steps.
+        m = sum(np.roll(np.diag(rng.normal(size=n)), k, axis=1) for k in (0, 1, 17, 40)) / 4
+        mc = np.diag(rng.normal(size=n)) / 4
+        ct = small_context.encrypt(rng.uniform(-1, 1, n))
+        lt = LinearTransform(m, mc)
+        lt.apply(small_evaluator, ct)
+        calls = []
+        real = CkksContext.encode
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CkksContext, "encode", counting)
+        again = lt.apply(small_evaluator, ct)
+        assert calls == []
+        fresh = LinearTransform(m, mc).apply(small_evaluator, ct)
+        assert calls  # the fresh transform did encode
+        assert np.array_equal(again.c0.limbs, fresh.c0.limbs)
+        assert np.array_equal(again.c1.limbs, fresh.c1.limbs)
+
+    def test_other_level_reencodes_one_set(
+        self, small_context, small_evaluator, rng, monkeypatch
+    ):
+        from repro.ckks.context import CkksContext
+
+        n = 256
+        lt = LinearTransform(np.diag(rng.uniform(0.5, 1.5, n)))
+        ct = small_context.encrypt(rng.uniform(-1, 1, n))
+        lt.apply(small_evaluator, ct)
+        calls = []
+        real = CkksContext.encode
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CkksContext, "encode", counting)
+        lower = small_evaluator.drop_to_level(ct, ct.level - 1)
+        out = lt.apply(small_evaluator, lower)
+        assert calls == [1]
+        key, _ = lt._encoded
+        assert key[1] == lower.level
+        assert out.level == lower.level - 1
+
     def test_reference_apply(self, rng):
         n = 8
         m = rng.normal(size=(n, n))

@@ -199,7 +199,8 @@ class TestRedaction:
     def test_keyset_and_tenantkeys_reprs_carry_no_coefficients(self):
         context = OFFLINE.preset(36).context
         keys = context.keys
-        blobs = [repr(keys), str(keys), repr(TenantKeys(context=context))]
+        tenant = TenantKeys(context=context, evk_in=keys.relinearization_key())
+        blobs = [repr(keys), str(keys), repr(tenant)]
         coeff_text = np.array2string(keys.secret.coeffs[:8])
         for text in blobs:
             assert "redacted" in text
